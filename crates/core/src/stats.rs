@@ -1,7 +1,7 @@
 //! Observable switching-protocol state, shared out of the layer through a
 //! cheap clonable handle. The handle is `Arc<Mutex<..>>`, not `Rc`: the
 //! parallel sweep runner reads handles from worker threads, and `Layer`
-//! itself is `Send` so stacks can run on real threads (`ps-rt`). Reads are
+//! itself is `Send` so stacks can run on real threads (`ps-net`). Reads are
 //! poison-proof — the stats are plain counters, valid after any panic.
 //!
 //! The same switch phases also flow into the `ps-obs` event recorder when

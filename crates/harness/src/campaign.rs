@@ -12,11 +12,12 @@
 //! * **faults**: none, 10% and 40% per-copy frame loss, and a
 //!   crash/recovery of a non-sending member in the middle of the run.
 //!
-//! Every cell streams its event feed through the standard [`MonitorSet`]
-//! (total order, per-sender FIFO, delivery accounting, switch liveness)
-//! and records the [`MetricsSampler`] load series the hybrid's oracle
-//! reads. A cell **passes** iff the monitors saw no violation and — for
-//! the hybrid — no process is wedged mid-switch or disagreeing about the
+//! Every cell streams its event feed through the standard
+//! [`MonitorSet`](ps_obs::MonitorSet) (total order, per-sender FIFO,
+//! delivery accounting, switch liveness) and records the
+//! [`MetricsSampler`] load series the hybrid's oracle reads. A cell
+//! **passes** iff the monitors saw no violation and — for the hybrid —
+//! no process is wedged mid-switch or disagreeing about the
 //! current protocol. The rendered grid report (events, switches, latency
 //! percentiles, peak load, verdicts) is deterministic: cell seeds are
 //! fixed, every statistic is integer-valued, and the sweep runner merges
@@ -30,18 +31,15 @@
 use crate::measure::{latency_stats, LatencyStats, SteadyStateWindow};
 use crate::monitor_run::{SwapFaultLayer, FAULT_NODE};
 use crate::report::Table;
+use crate::scenario::{self, oracle_at_p0, Crash, Scenario, SimNet};
 use crate::sweep::SweepRunner;
-use ps_core::{
-    hybrid_seq_token_ft, LoadOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle, SwitchVariant,
-};
-use ps_obs::{MetricsSampler, MonitorSet, Recorder, SeriesSummary, Violation};
+use ps_core::{hybrid_seq_token_ft, LoadOracle, SwitchConfig, SwitchHandle, SwitchVariant};
+use ps_obs::{MetricsSampler, SeriesSummary, Violation};
 use ps_protocols::{FifoLayer, ReliableLayer, SeqOrderLayer, TokenOrderLayer};
 use ps_simnet::{EthernetConfig, Lossy, Medium, SegmentedBus, SharedBus, SimTime, Topology};
-use ps_stack::{GroupSimBuilder, Layer, Stack};
+use ps_stack::{IdGen, Layer, Stack};
 use ps_trace::ProcessId;
 use ps_workload::{Manifest, Profile, TrafficSpec};
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// The protocol stack a cell runs.
@@ -323,125 +321,103 @@ pub fn run_cell(cfg: &CampaignConfig, cell: &CampaignCell) -> CellResult {
     let schedule = spec.generate();
     let manifest = schedule.manifest();
 
-    let recorder = Recorder::with_capacity(1 << 18);
-    let monitors = MonitorSet::standard(u32::from(cfg.group), cfg.liveness_bound.as_micros());
-    monitors.attach(&recorder);
     let sampler = MetricsSampler::new(cfg.sample_interval.as_micros()).with_seq_node(0);
 
     // Above one segment the cell runs on a bridged multi-segment
     // topology; the builder then knows `Dest::Segment` boundaries too.
-    let topo = (cfg.segments > 1).then(|| {
+    let topology = (cfg.segments > 1).then(|| {
         Arc::new(Topology::uniform(u32::from(cfg.group), cfg.segments, cfg.bridge_latency))
     });
-    let mut medium: Box<dyn Medium> = match &topo {
+    let mut medium: Box<dyn Medium> = match &topology {
         Some(t) => Box::new(SegmentedBus::new(Arc::clone(t), cell.seed ^ 0x7a11)),
         None => Box::new(SharedBus::new(EthernetConfig::default())),
     };
     if let FaultKind::Loss { permille } = cell.fault {
         medium = Box::new(Lossy::new(medium, f64::from(permille) / 1000.0));
     }
+    let crashes = match cell.fault {
+        FaultKind::Crash => vec![Crash {
+            victim: ProcessId(cfg.crash_victim),
+            at: cfg.crash_at,
+            back: cfg.crash_back,
+        }],
+        _ => Vec::new(),
+    };
+    // The explicit (possibly `Lossy`-wrapped) medium wins over the
+    // topology's default one.
+    let medium = SimNet { medium: Some(medium), topology, crashes, ..SimNet::default() };
 
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
     let oracle_sampler = sampler.clone();
     let (stack_kind, inject) = (cell.stack, cell.inject_fault);
     let (high, low) = (cfg.high_permille, cfg.low_permille);
     let (min_samples, cooldown) = (cfg.min_samples, cfg.cooldown);
     let (idle_hold, phase_timeout) = (cfg.token_idle_hold, cfg.phase_timeout);
-
-    let mut b = GroupSimBuilder::new(cfg.group).seed(cell.seed ^ 0x7a11);
-    if let Some(t) = &topo {
-        // `topology` before `medium`: it resets any default medium, and
-        // the explicit (possibly `Lossy`-wrapped) one must win.
-        b = b.topology(Arc::clone(t));
-    }
-    let b = b
-        .medium(medium)
-        .recorder(recorder.clone())
-        .sampler(sampler.clone())
-        .stack_factory(move |p, _, ids| {
-            let mut layers: Vec<Box<dyn Layer>> = Vec::new();
-            if inject && p == ProcessId(FAULT_NODE) {
-                layers.push(Box::new(SwapFaultLayer::new()));
+    let factory = move |p: ProcessId, ids: &mut IdGen| {
+        let mut layers: Vec<Box<dyn Layer>> = Vec::new();
+        if inject && p == ProcessId(FAULT_NODE) {
+            layers.push(Box::new(SwapFaultLayer::new()));
+        }
+        match stack_kind {
+            StackKind::Seq => {
+                layers.push(Box::new(SeqOrderLayer::new(ProcessId(0))));
+                layers.push(Box::new(FifoLayer::new()));
+                layers.push(Box::new(ReliableLayer::new()));
+                (Stack::with_ids(layers, ids), None)
             }
-            match stack_kind {
-                StackKind::Seq => {
-                    layers.push(Box::new(SeqOrderLayer::new(ProcessId(0))));
-                    layers.push(Box::new(FifoLayer::new()));
-                    layers.push(Box::new(ReliableLayer::new()));
-                    Stack::with_ids(layers, ids)
-                }
-                StackKind::Token => {
-                    layers.push(Box::new(TokenOrderLayer::with_idle_hold(idle_hold)));
-                    layers.push(Box::new(ReliableLayer::new()));
-                    Stack::with_ids(layers, ids)
-                }
-                StackKind::Hybrid => {
-                    let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                        Box::new(
-                            LoadOracle::new(oracle_sampler.clone(), high, low)
-                                .with_min_samples(min_samples)
-                                .with_cooldown(cooldown),
-                        )
-                    } else {
-                        Box::new(NeverOracle)
-                    };
-                    let sw = SwitchConfig {
-                        variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(10) },
-                        observe_interval: SimTime::from_millis(50),
-                        phase_timeout,
-                        retransmit_base: SimTime::from_millis(40),
-                        retransmit_max: SimTime::from_millis(160),
-                        token_regen: SimTime::from_millis(100),
-                        ..SwitchConfig::default()
-                    };
-                    let (stack, handle) =
-                        hybrid_seq_token_ft(ids, sw, ProcessId(0), idle_hold, oracle);
-                    h2.borrow_mut().push(handle);
-                    stack
-                }
+            StackKind::Token => {
+                layers.push(Box::new(TokenOrderLayer::with_idle_hold(idle_hold)));
+                layers.push(Box::new(ReliableLayer::new()));
+                (Stack::with_ids(layers, ids), None)
             }
-        })
-        .sends(schedule.into_sends());
+            StackKind::Hybrid => {
+                let oracle = oracle_at_p0(p, || {
+                    Box::new(
+                        LoadOracle::new(oracle_sampler.clone(), high, low)
+                            .with_min_samples(min_samples)
+                            .with_cooldown(cooldown),
+                    )
+                });
+                let sw = SwitchConfig {
+                    variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(10) },
+                    observe_interval: SimTime::from_millis(50),
+                    phase_timeout,
+                    retransmit_base: SimTime::from_millis(40),
+                    retransmit_max: SimTime::from_millis(160),
+                    token_regen: SimTime::from_millis(100),
+                    ..SwitchConfig::default()
+                };
+                let (stack, handle) = hybrid_seq_token_ft(ids, sw, ProcessId(0), idle_hold, oracle);
+                (stack, Some(handle))
+            }
+        }
+    };
 
-    let mut sim = b.build();
-    if cell.fault == FaultKind::Crash {
-        sim.schedule_crash(cfg.crash_at, ProcessId(cfg.crash_victim));
-        sim.schedule_recover(cfg.crash_back, ProcessId(cfg.crash_victim));
-    }
-    sim.run_until(cfg.end + cfg.drain);
+    let out = scenario::run(Scenario {
+        sends: schedule.into_sends().collect(),
+        ring_capacity: 1 << 18,
+        liveness_bound: cfg.liveness_bound,
+        sampler: Some(sampler.clone()),
+        ..Scenario::new(cfg.group, cell.seed ^ 0x7a11, cfg.end + cfg.drain, medium, factory)
+    });
 
-    let handles = handles.borrow();
-    let wedged = !handles.is_empty()
-        && (handles.iter().any(SwitchHandle::switching)
-            || handles.iter().any(|h| h.current() != handles[0].current()));
-    let switches = handles.iter().map(SwitchHandle::switches_completed).sum();
-    let aborts = handles.iter().map(SwitchHandle::aborted).sum();
-    let latency = latency_stats(&sim, SteadyStateWindow::between(cfg.start, cfg.end));
-    let violations = monitors.finish();
-    let pass = violations.is_empty() && !wedged;
+    let wedged = out.wedged();
+    let pass = out.violations.is_empty() && !wedged;
     let postmortem = (!pass).then(|| {
-        let reason = if violations.is_empty() {
+        let reason = if out.violations.is_empty() {
             format!("wedged: {}", cell.name())
         } else {
             format!("monitor_violation: {}", cell.name())
         };
-        crate::explain::capture_failure(
-            &reason,
-            &recorder.snapshot(),
-            recorder.overwritten(),
-            &violations,
-            &sampler.samples(),
-        )
+        out.postmortem(&reason)
     });
     CellResult {
         cell: cell.clone(),
         manifest,
-        switches,
-        aborts,
-        latency,
+        switches: out.handles.iter().map(SwitchHandle::switches_completed).sum(),
+        aborts: out.handles.iter().map(SwitchHandle::aborted).sum(),
+        latency: latency_stats(&out.driver, SteadyStateWindow::between(cfg.start, cfg.end)),
         load: sampler.summary(),
-        violations,
+        violations: out.violations,
         wedged,
         pass,
         postmortem,

@@ -17,8 +17,8 @@
 //!   with 0–40% probability, alone or on top of a crash.
 //!
 //! Every run streams its event feed through the standard
-//! [`MonitorSet`] (total order, per-sender FIFO, delivery accounting,
-//! switch liveness), so each row of the report proves its properties
+//! [`MonitorSet`](ps_obs::MonitorSet) (total order, per-sender FIFO,
+//! delivery accounting, switch liveness), so each row of the report proves its properties
 //! held *while the fault was active*. A scenario passes iff its final
 //! outcome matches the expectation (`completed` or `aborted` — never
 //! `wedged`) and no monitor reported a violation.
@@ -28,18 +28,15 @@
 //! byte-identical across runs and worker counts.
 
 use crate::report::Table;
+use crate::scenario::{self, oracle_at_p0, Crash, Scenario, SimNet};
 use crate::sweep::SweepRunner;
-use ps_core::{
-    hybrid_total_order_ft, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle,
-    SwitchVariant,
-};
-use ps_obs::{EventSink, MonitorSet, ObsEvent, Recorder, SpPhase, TimedEvent, Violation};
+use ps_bytes::Bytes;
+use ps_core::{hybrid_total_order_ft, ManualOracle, SwitchConfig, SwitchHandle, SwitchVariant};
+use ps_obs::{EventSink, ObsEvent, SpPhase, TimedEvent, Violation};
 use ps_simnet::{Lossy, Medium, NodeId, PartitionSchedule, PointToPoint, SimTime};
-use ps_stack::GroupSimBuilder;
+use ps_stack::IdGen;
 use ps_trace::ProcessId;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 /// When the victim fail-stops, relative to the scripted switch.
@@ -362,12 +359,7 @@ impl EventSink for CrashPhaseProbe {
 
 /// Runs one scenario and judges it.
 pub fn run_scenario(cfg: &ChaosConfig, sc: &ChaosScenario) -> ScenarioResult {
-    let recorder = Recorder::with_capacity(1 << 18);
-    let monitors = MonitorSet::standard(u32::from(cfg.group), cfg.liveness_bound.as_micros());
-    monitors.attach(&recorder);
     let probe = CrashPhaseProbe::default();
-    recorder.subscribe(Box::new(probe.clone()));
-
     let mut medium: Box<dyn Medium> = Box::new(PointToPoint::new(SimTime::from_micros(300)));
     if sc.loss > 0.0 {
         medium = Box::new(Lossy::new(medium, sc.loss));
@@ -379,45 +371,39 @@ pub fn run_scenario(cfg: &ChaosConfig, sc: &ChaosScenario) -> ScenarioResult {
             PartitionSchedule::new(medium).partition_at(at, vec![near, far]).heal_at(back),
         );
     }
+    let mut medium = SimNet::over(medium);
+    if let Fault::Crash { victim, at, back } = sc.fault {
+        medium.crashes.push(Crash { victim: ProcessId(victim), at, back });
+    }
 
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
     let (variant, switch_at, phase_timeout) = (sc.variant, sc.switch_at, sc.phase_timeout);
-    let mut b = GroupSimBuilder::new(cfg.group)
-        .seed(sc.seed)
-        .medium(medium)
-        .recorder(recorder.clone())
-        .stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                Box::new(ManualOracle::new(vec![(switch_at, 1)]))
-            } else {
-                Box::new(NeverOracle)
-            };
-            let sw = SwitchConfig {
-                variant,
-                observe_interval: SimTime::from_millis(10),
-                phase_timeout,
-                retransmit_base: SimTime::from_millis(40),
-                retransmit_max: SimTime::from_millis(160),
-                token_regen: SimTime::from_millis(100),
-                ..SwitchConfig::default()
-            };
-            let (stack, handle) =
-                hybrid_total_order_ft(ids, sw, ProcessId(0), ProcessId(1), oracle);
-            h2.borrow_mut().push(handle);
-            stack
-        });
+    let factory = move |p: ProcessId, ids: &mut IdGen| {
+        let oracle = oracle_at_p0(p, || Box::new(ManualOracle::new(vec![(switch_at, 1)])));
+        let sw = SwitchConfig {
+            variant,
+            observe_interval: SimTime::from_millis(10),
+            phase_timeout,
+            retransmit_base: SimTime::from_millis(40),
+            retransmit_max: SimTime::from_millis(160),
+            token_regen: SimTime::from_millis(100),
+            ..SwitchConfig::default()
+        };
+        let (stack, handle) = hybrid_total_order_ft(ids, sw, ProcessId(0), ProcessId(1), oracle);
+        (stack, Some(handle))
+    };
 
     // Workload: for crash scenarios the victim stays quiet until after its
     // recovery; the partition scenario quiesces entirely before the split
     // (the abort's buffer absorption then has nothing to reorder).
+    let mut sends: Vec<(SimTime, ProcessId, Bytes)> = Vec::new();
+    let mut send = |at: SimTime, p: u16, body: String| sends.push((at, ProcessId(p), body.into()));
     match sc.fault {
         Fault::Partition { at, .. } => {
             let mut t = SimTime::from_millis(2);
             let mut i = 0u64;
             while t + SimTime::from_millis(20) < at {
-                b = b.send_at(t, ProcessId((i % u64::from(cfg.group)) as u16), format!("q{i}"));
-                t = t + SimTime::from_millis(5);
+                send(t, (i % u64::from(cfg.group)) as u16, format!("q{i}"));
+                t += SimTime::from_millis(5);
                 i += 1;
                 if i >= 12 {
                     break;
@@ -428,40 +414,32 @@ pub fn run_scenario(cfg: &ChaosConfig, sc: &ChaosScenario) -> ScenarioResult {
             let senders: Vec<u16> = (0..cfg.group).filter(|&p| p != victim).collect();
             for i in 0..30u64 {
                 let p = senders[(i as usize) % senders.len()];
-                b = b.send_at(SimTime::from_millis(2 + 5 * i), ProcessId(p), format!("c{i}"));
+                send(SimTime::from_millis(2 + 5 * i), p, format!("c{i}"));
             }
             for i in 0..3u64 {
-                b = b.send_at(
-                    back + SimTime::from_millis(50 + 10 * i),
-                    ProcessId(victim),
-                    format!("v{i}"),
-                );
+                send(back + SimTime::from_millis(50 + 10 * i), victim, format!("v{i}"));
             }
         }
         Fault::None => {
             for i in 0..30u64 {
-                b = b.send_at(
-                    SimTime::from_millis(2 + 5 * i),
-                    ProcessId((i % u64::from(cfg.group)) as u16),
-                    format!("n{i}"),
-                );
+                let p = (i % u64::from(cfg.group)) as u16;
+                send(SimTime::from_millis(2 + 5 * i), p, format!("n{i}"));
             }
         }
     }
 
-    let mut sim = b.build();
-    if let Fault::Crash { victim, at, back } = sc.fault {
-        sim.schedule_crash(at, ProcessId(victim));
-        sim.schedule_recover(back, ProcessId(victim));
-    }
-    sim.run_until(cfg.end);
+    let out = scenario::run(Scenario {
+        sends,
+        ring_capacity: 1 << 18,
+        liveness_bound: cfg.liveness_bound,
+        sinks: vec![Box::new(probe.clone())],
+        ..Scenario::new(cfg.group, sc.seed, cfg.end, medium, factory)
+    });
 
-    let handles = handles.borrow();
+    let handles = &out.handles;
     let completed: Vec<usize> = handles.iter().map(SwitchHandle::switches_completed).collect();
     let aborted: Vec<u64> = handles.iter().map(SwitchHandle::aborted).collect();
-    let wedged = handles.iter().any(SwitchHandle::switching)
-        || handles.iter().any(|h| h.current() != handles[0].current());
-    let outcome = if wedged {
+    let outcome = if out.wedged() {
         Outcome::Wedged
     } else if handles.iter().all(|h| h.switches_completed() == 1 && h.current() == 1) {
         Outcome::Completed
@@ -472,25 +450,18 @@ pub fn run_scenario(cfg: &ChaosConfig, sc: &ChaosScenario) -> ScenarioResult {
     } else {
         Outcome::Wedged
     };
-    let violations = monitors.finish();
     let phase_at_crash = match sc.fault {
         Fault::Crash { victim, .. } => probe.phase_at_crash(u32::from(victim)),
         _ => None,
     };
-    let pass = outcome == sc.expect && violations.is_empty();
+    let pass = outcome == sc.expect && out.violations.is_empty();
     let postmortem = (!pass).then(|| {
-        let reason = if violations.is_empty() {
+        let reason = if out.violations.is_empty() {
             format!("{}: {}", outcome.as_str(), sc.name)
         } else {
             format!("monitor_violation: {}", sc.name)
         };
-        crate::explain::capture_failure(
-            &reason,
-            &recorder.snapshot(),
-            recorder.overwritten(),
-            &violations,
-            &[],
-        )
+        out.postmortem(&reason)
     });
     ScenarioResult {
         scenario: sc.clone(),
@@ -498,8 +469,8 @@ pub fn run_scenario(cfg: &ChaosConfig, sc: &ChaosScenario) -> ScenarioResult {
         phase_at_crash,
         completed,
         aborted,
-        violations,
-        sent: monitors.delivery().sent_count(),
+        sent: out.sent,
+        violations: out.violations,
         pass,
         postmortem,
     }

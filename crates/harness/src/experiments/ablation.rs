@@ -9,17 +9,13 @@
 //! initiators for free.
 
 use crate::report::Table;
+use crate::scenario::{self, oracle_at_p0, Scenario, SimNet};
 use crate::sweep::SweepRunner;
-use crate::workload::{periodic_senders, WorkloadSpec};
-use ps_core::{
-    hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle,
-    SwitchVariant,
-};
+use ps_core::{hybrid_total_order, ManualOracle, SwitchConfig, SwitchHandle, SwitchVariant};
 use ps_simnet::{EthernetConfig, SharedBus, SimTime};
-use ps_stack::GroupSimBuilder;
+use ps_stack::IdGen;
 use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::rc::Rc;
+use ps_workload::TrafficSpec;
 
 /// Configuration of the variant ablation.
 #[derive(Debug, Clone)]
@@ -80,41 +76,33 @@ fn run_one(
     sw_variant: SwitchVariant,
     do_switch: bool,
 ) -> (u64, Vec<SwitchHandle>) {
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
     let plan = if do_switch { vec![(cfg.switch_at, 1usize)] } else { vec![] };
-    let spec = WorkloadSpec {
-        rate_per_sender: cfg.rate,
+    let traffic = TrafficSpec {
+        group: n,
+        senders: cfg.senders,
+        rate: cfg.rate,
         body_bytes: 1024,
-        start: SimTime::from_millis(100),
         end: cfg.end,
         seed: cfg.seed ^ u64::from(n),
-        ..WorkloadSpec::for_group(n, cfg.senders)
+        ..TrafficSpec::default()
     };
-    let mut b = GroupSimBuilder::new(n)
-        .seed(cfg.seed ^ (u64::from(n) << 6))
-        .medium(Box::new(SharedBus::new(EthernetConfig::default())))
-        .stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                Box::new(ManualOracle::new(plan.clone()))
-            } else {
-                Box::new(NeverOracle)
-            };
-            let sw_cfg = SwitchConfig {
-                variant: sw_variant,
-                observe_interval: SimTime::from_millis(20),
-                ..SwitchConfig::default()
-            };
-            let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
-            h2.borrow_mut().push(handle);
-            stack
-        });
-    b = b.sends(periodic_senders(&spec));
-    let mut sim = b.build();
-    sim.run_until(cfg.end + SimTime::from_secs(1));
-    let frames = sim.net_stats().frames_sent;
-    let handles = handles.borrow().clone();
-    (frames, handles)
+    let factory = move |p: ProcessId, ids: &mut IdGen| {
+        let oracle = oracle_at_p0(p, || Box::new(ManualOracle::new(plan.clone())));
+        let sw_cfg = SwitchConfig {
+            variant: sw_variant,
+            observe_interval: SimTime::from_millis(20),
+            ..SwitchConfig::default()
+        };
+        let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
+        (stack, Some(handle))
+    };
+    let medium = SimNet::over(Box::new(SharedBus::new(EthernetConfig::default())));
+    let horizon = cfg.end + SimTime::from_secs(1);
+    let out = scenario::run(Scenario {
+        sends: traffic.generate().into_sends().collect(),
+        ..Scenario::new(n, cfg.seed ^ (u64::from(n) << 6), horizon, medium, factory)
+    });
+    (out.driver.net_stats().frames_sent, out.handles)
 }
 
 /// Runs the ablation serially.

@@ -11,19 +11,15 @@
 
 use crate::measure::{latency_histogram, latency_stats, LatencyStats, SteadyStateWindow};
 use crate::report::Table;
+use crate::scenario::{self, oracle_at_p0, Scenario, SimNet};
 use crate::sweep::SweepRunner;
-use crate::workload::{periodic_senders, WorkloadSpec};
-use ps_core::{
-    hybrid_total_order, NeverOracle, Oracle, SwitchConfig, SwitchHandle, SwitchVariant,
-    ThresholdOracle,
-};
+use ps_core::{hybrid_total_order, SwitchConfig, SwitchHandle, SwitchVariant, ThresholdOracle};
 use ps_obs::HistSummary;
 use ps_protocols::{SeqOrderLayer, TokenOrderLayer};
 use ps_simnet::{EthernetConfig, SharedBus, SimTime};
-use ps_stack::{GroupSim, GroupSimBuilder, Stack};
+use ps_stack::{GroupSim, IdGen, Stack};
 use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::rc::Rc;
+use ps_workload::TrafficSpec;
 
 /// Parameters of the Figure-2 sweep; defaults are the calibrated testbed
 /// stand-in (see DESIGN.md §1 and EXPERIMENTS.md).
@@ -148,32 +144,24 @@ pub fn run_point(
     series: Series,
     k: u16,
 ) -> (GroupSim, Option<Vec<SwitchHandle>>) {
-    let spec = WorkloadSpec {
-        rate_per_sender: cfg.rate,
+    let traffic = TrafficSpec {
+        group: cfg.group,
+        senders: k,
+        rate: cfg.rate,
         body_bytes: cfg.body_bytes,
-        start: SimTime::from_millis(100),
         end: SimTime::from_millis(100) + cfg.warmup + cfg.measure,
         seed: cfg.seed ^ u64::from(k),
-        ..WorkloadSpec::for_group(cfg.group, k)
+        ..TrafficSpec::default()
     };
-    let medium = Box::new(SharedBus::new(EthernetConfig::default()));
     let idle_hold = cfg.idle_hold;
     let (threshold, hysteresis) = (cfg.threshold, cfg.hysteresis);
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
-    let mut b = GroupSimBuilder::new(cfg.group)
-        .seed(cfg.seed ^ (u64::from(k) << 8))
-        .service_time(cfg.service)
-        .medium(medium);
-    b = match series {
-        Series::Sequencer => {
-            b.stack_factory(|_, _, _| Stack::new(vec![Box::new(SeqOrderLayer::new(ProcessId(0)))]))
+    let factory = move |p: ProcessId, ids: &mut IdGen| match series {
+        Series::Sequencer => (Stack::new(vec![Box::new(SeqOrderLayer::new(ProcessId(0)))]), None),
+        Series::Token => {
+            (Stack::new(vec![Box::new(TokenOrderLayer::with_idle_hold(idle_hold))]), None)
         }
-        Series::Token => b.stack_factory(move |_, _, _| {
-            Stack::new(vec![Box::new(TokenOrderLayer::with_idle_hold(idle_hold))])
-        }),
-        Series::Hybrid => b.stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
+        Series::Hybrid => {
+            let oracle = oracle_at_p0(p, || {
                 // The cooldown stops the post-flip drain stall from being
                 // mistaken for an idle group (a flap back to the congested
                 // protocol would be catastrophic at high load).
@@ -181,9 +169,7 @@ pub fn run_point(
                     ThresholdOracle::new(threshold, hysteresis)
                         .with_cooldown(SimTime::from_secs(1)),
                 )
-            } else {
-                Box::new(NeverOracle)
-            };
+            });
             // React quickly: the paper's §7 warning is that waiting too
             // long to leave a congesting protocol makes the flush (and so
             // the switch) expensive.
@@ -194,15 +180,22 @@ pub fn run_point(
                 ..SwitchConfig::default()
             };
             let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
-            h2.borrow_mut().push(handle);
-            stack
-        }),
+            (stack, Some(handle))
+        }
     };
-    let mut sim = b.sends(periodic_senders(&spec)).build();
+    let medium = SimNet {
+        service_time: Some(cfg.service),
+        ..SimNet::over(Box::new(SharedBus::new(EthernetConfig::default())))
+    };
     // Let in-flight messages drain past the workload end.
-    sim.run_until(spec.end + SimTime::from_secs(2));
-    let handles = if series == Series::Hybrid { Some(handles.borrow().clone()) } else { None };
-    (sim, handles)
+    let horizon = traffic.end + SimTime::from_secs(2);
+    let seed = cfg.seed ^ (u64::from(k) << 8);
+    let out = scenario::run(Scenario {
+        sends: traffic.generate().into_sends().collect(),
+        ..Scenario::new(cfg.group, seed, horizon, medium, factory)
+    });
+    let handles = (series == Series::Hybrid).then_some(out.handles);
+    (out.driver, handles)
 }
 
 /// Everything a single (protocol × sender count) run contributes to its

@@ -10,16 +10,12 @@
 
 use crate::measure::{latency_stats, SteadyStateWindow};
 use crate::report::Table;
-use crate::workload::{periodic_senders, WorkloadSpec};
-use ps_core::{
-    hybrid_total_order, NeverOracle, Oracle, SwitchConfig, SwitchHandle, SwitchVariant,
-    ThresholdOracle,
-};
+use crate::scenario::{self, oracle_at_p0, Scenario, SimNet};
+use ps_core::{hybrid_total_order, SwitchConfig, SwitchVariant, ThresholdOracle};
 use ps_simnet::{EthernetConfig, SharedBus, SimTime};
-use ps_stack::GroupSimBuilder;
+use ps_stack::IdGen;
 use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::rc::Rc;
+use ps_workload::TrafficSpec;
 
 /// Configuration of the oscillation experiment.
 #[derive(Debug, Clone)]
@@ -81,29 +77,20 @@ pub fn run(cfg: &OscillationConfig) -> Vec<OscillationPoint> {
     cfg.hysteresis
         .iter()
         .map(|&h| {
-            let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-            let h2 = handles.clone();
             let threshold = cfg.threshold;
-            let mut b = GroupSimBuilder::new(cfg.group)
-                .seed(cfg.seed ^ (h as u64) << 4)
-                .medium(Box::new(SharedBus::new(EthernetConfig::default())))
-                .stack_factory(move |p, _, ids| {
-                    let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                        Box::new(ThresholdOracle::new(threshold, h))
-                    } else {
-                        Box::new(NeverOracle)
-                    };
-                    let sw_cfg = SwitchConfig {
-                        variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
-                        observe_interval: SimTime::from_millis(50),
-                        observe_window: SimTime::from_millis(250),
-                        ..SwitchConfig::default()
-                    };
-                    let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
-                    h2.borrow_mut().push(handle);
-                    stack
-                });
+            let factory = move |p: ProcessId, ids: &mut IdGen| {
+                let oracle = oracle_at_p0(p, || Box::new(ThresholdOracle::new(threshold, h)));
+                let sw_cfg = SwitchConfig {
+                    variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
+                    observe_interval: SimTime::from_millis(50),
+                    observe_window: SimTime::from_millis(250),
+                    ..SwitchConfig::default()
+                };
+                let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
+                (stack, Some(handle))
+            };
             // Alternating load phases straddling the threshold.
+            let mut sends = Vec::new();
             let mut t = SimTime::from_millis(100);
             for phase in 0..cfg.phases {
                 let k = if phase % 2 == 0 {
@@ -111,23 +98,30 @@ pub fn run(cfg: &OscillationConfig) -> Vec<OscillationPoint> {
                 } else {
                     cfg.threshold as u16 + 1
                 };
-                let spec = WorkloadSpec {
-                    rate_per_sender: cfg.rate,
+                let traffic = TrafficSpec {
+                    group: cfg.group,
+                    senders: k,
+                    rate: cfg.rate,
                     body_bytes: cfg.body_bytes,
                     start: t,
                     end: t + cfg.phase,
                     seed: cfg.seed ^ (phase as u64) << 8,
-                    ..WorkloadSpec::for_group(cfg.group, k)
+                    ..TrafficSpec::default()
                 };
-                b = b.sends(periodic_senders(&spec));
+                sends.extend(traffic.generate().into_sends());
                 t += cfg.phase;
             }
-            let mut sim = b.build();
-            sim.run_until(t + SimTime::from_secs(2));
-            let switches =
-                handles.borrow().iter().map(|h| h.switches_completed()).max().unwrap_or(0);
-            let stats =
-                latency_stats(&sim, SteadyStateWindow::between(SimTime::from_millis(100), t));
+            let medium = SimNet::over(Box::new(SharedBus::new(EthernetConfig::default())));
+            let seed = cfg.seed ^ (h as u64) << 4;
+            let out = scenario::run(Scenario {
+                sends,
+                ..Scenario::new(cfg.group, seed, t + SimTime::from_secs(2), medium, factory)
+            });
+            let switches = out.handles.iter().map(|h| h.switches_completed()).max().unwrap_or(0);
+            let stats = latency_stats(
+                &out.driver,
+                SteadyStateWindow::between(SimTime::from_millis(100), t),
+            );
             OscillationPoint { hysteresis: h, switches, mean_latency: stats.mean }
         })
         .collect()

@@ -13,16 +13,12 @@
 
 use crate::measure::max_delivery_gap;
 use crate::report::Table;
-use crate::workload::{periodic_senders, WorkloadSpec};
-use ps_core::{
-    hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle,
-    SwitchVariant,
-};
+use crate::scenario::{self, oracle_at_p0, Scenario, SimNet};
+use ps_core::{hybrid_total_order, ManualOracle, SwitchConfig, SwitchVariant};
 use ps_simnet::{EthernetConfig, SharedBus, SimTime};
-use ps_stack::GroupSimBuilder;
+use ps_stack::IdGen;
 use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::rc::Rc;
+use ps_workload::TrafficSpec;
 
 /// Configuration of the overhead experiment.
 #[derive(Debug, Clone)]
@@ -95,46 +91,39 @@ pub struct OverheadResult {
 pub fn run(cfg: &OverheadConfig) -> OverheadResult {
     let mut costs = Vec::new();
     for &k in &cfg.senders {
-        let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-        let h2 = handles.clone();
         let plan = vec![(cfg.switch_at, 1), (cfg.switch_back_at, 0)];
-        let spec = WorkloadSpec {
-            rate_per_sender: cfg.rate,
+        let traffic = TrafficSpec {
+            group: cfg.group,
+            senders: k,
+            rate: cfg.rate,
             body_bytes: cfg.body_bytes,
-            start: SimTime::from_millis(100),
             end: cfg.end,
             seed: cfg.seed ^ u64::from(k),
-            ..WorkloadSpec::for_group(cfg.group, k)
+            ..TrafficSpec::default()
         };
-        let mut b = GroupSimBuilder::new(cfg.group)
-            .seed(cfg.seed ^ (u64::from(k) << 10))
-            .medium(Box::new(SharedBus::new(EthernetConfig::default())))
-            .stack_factory(move |p, _, ids| {
-                let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                    Box::new(ManualOracle::new(plan.clone()))
-                } else {
-                    Box::new(NeverOracle)
-                };
-                let sw_cfg = SwitchConfig {
-                    variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
-                    observe_interval: SimTime::from_millis(20),
-                    ..SwitchConfig::default()
-                };
-                let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
-                h2.borrow_mut().push(handle);
-                stack
-            });
-        b = b.sends(periodic_senders(&spec));
-        let mut sim = b.build();
-        sim.run_until(cfg.end + SimTime::from_secs(2));
+        let factory = move |p: ProcessId, ids: &mut IdGen| {
+            let oracle = oracle_at_p0(p, || Box::new(ManualOracle::new(plan.clone())));
+            let sw_cfg = SwitchConfig {
+                variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
+                observe_interval: SimTime::from_millis(20),
+                ..SwitchConfig::default()
+            };
+            let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
+            (stack, Some(handle))
+        };
+        let medium = SimNet::over(Box::new(SharedBus::new(EthernetConfig::default())));
+        let horizon = cfg.end + SimTime::from_secs(2);
+        let seed = cfg.seed ^ (u64::from(k) << 10);
+        let out = scenario::run(Scenario {
+            sends: traffic.generate().into_sends().collect(),
+            ..Scenario::new(cfg.group, seed, horizon, medium, factory)
+        });
+        let (sim, handles) = (&out.driver, &out.handles);
 
-        let handles = handles.borrow();
-        // The probe member for hiccup measurement: the last process (a
-        // plain member, not sequencer or initiator).
         let probe = ProcessId(cfg.group - 1);
         // Steady-state gap, measured well before the first switch.
         let steady_gap = max_delivery_gap(
-            &sim,
+            sim,
             probe,
             SimTime::from_millis(300),
             cfg.switch_at.saturating_sub(SimTime::from_millis(100)),
@@ -150,7 +139,7 @@ pub fn run(cfg: &OverheadConfig) -> OverheadResult {
             let start = recs.iter().map(|r| r.started_at).min().unwrap();
             let finish = recs.iter().map(|r| r.completed_at).max().unwrap();
             let hiccup = max_delivery_gap(
-                &sim,
+                sim,
                 probe,
                 start.saturating_sub(SimTime::from_millis(50)),
                 finish + SimTime::from_millis(50),

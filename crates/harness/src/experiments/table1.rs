@@ -2,13 +2,14 @@
 //! implemented by its protocol layer, violated by a baseline without it.
 
 use crate::report::Table;
+use crate::scenario::{self, Scenario, SimNet};
 use ps_bytes::Bytes;
 use ps_protocols::{
     ConfidentialityLayer, IntegrityLayer, NoReplayLayer, PriorityLayer, ReliableLayer,
     SeqOrderLayer, VsyncConfig, VsyncLayer,
 };
 use ps_simnet::{Lossy, Medium, PointToPoint, SimTime};
-use ps_stack::{GroupSimBuilder, Layer, Stack};
+use ps_stack::{IdGen, Layer, Stack};
 use ps_trace::props::{
     Amoeba, Confidentiality, Integrity, NoReplay, PrioritizedDelivery, Property, Reliability,
     TotalOrder, VirtualSynchrony,
@@ -37,24 +38,40 @@ fn jittery(latency_us: u64, jitter_ms: u64) -> Box<dyn Medium> {
     )
 }
 
+/// Runs `n` processes over `medium`, each with the layers `factory`
+/// builds, and returns the application trace at `horizon`.
+fn run_trace<F>(
+    n: u16,
+    seed: u64,
+    medium: Box<dyn Medium>,
+    sends: Vec<(SimTime, ProcessId, Bytes)>,
+    horizon: SimTime,
+    factory: F,
+) -> Trace
+where
+    F: Fn(ProcessId) -> Vec<Box<dyn Layer>> + 'static,
+{
+    let factory = move |p, ids: &mut IdGen| (Stack::with_ids(factory(p), ids), None);
+    let out = scenario::run(Scenario {
+        sends,
+        ..Scenario::new(n, seed, horizon, SimNet::over(medium), factory)
+    });
+    out.driver.app_trace()
+}
+
+/// [`run_trace`] with `msgs` multicasts round-robin over the group, 4 ms
+/// apart, read out at 10 s.
 fn run_stack<F>(n: u16, seed: u64, medium: Box<dyn Medium>, msgs: usize, factory: F) -> Trace
 where
     F: Fn(ProcessId) -> Vec<Box<dyn Layer>> + 'static,
 {
-    let mut b = GroupSimBuilder::new(n)
-        .seed(seed)
-        .medium(medium)
-        .stack_factory(move |p, _, ids| Stack::with_ids(factory(p), ids));
-    for i in 0..msgs {
-        b = b.send_at(
-            SimTime::from_millis(2 + 4 * i as u64),
-            ProcessId((i % n as usize) as u16),
-            Bytes::from(format!("t1-{i}")),
-        );
-    }
-    let mut sim = b.build();
-    sim.run_until(SimTime::from_secs(10));
-    sim.app_trace()
+    let sends = (0..msgs)
+        .map(|i| {
+            let sender = ProcessId((i % n as usize) as u16);
+            (SimTime::from_millis(2 + 4 * i as u64), sender, Bytes::from(format!("t1-{i}")))
+        })
+        .collect();
+    run_trace(n, seed, medium, sends, SimTime::from_secs(10), factory)
 }
 
 /// Rebuilds the "release boundary" trace for the Amoeba demo: each send is
@@ -203,24 +220,20 @@ pub fn run() -> Vec<Demo> {
         // One eager sender over a jittery network: without self-clocking,
         // a later message's fastest copy overtakes the earlier message's
         // self-delivery, violating the property at the release boundary.
-        let mut b =
-            GroupSimBuilder::new(3).seed(17).medium(jittery(800, 3)).stack_factory(|_, _, ids| {
-                Stack::with_ids(vec![Box::new(ps_protocols::AmoebaLayer::new())], ids)
-            });
-        let mut b2 = GroupSimBuilder::new(3)
-            .seed(17)
-            .medium(jittery(800, 3))
-            .stack_factory(|_, _, _| Stack::new(vec![]));
-        for i in 0..12u64 {
-            let at = SimTime::from_micros(100 + 200 * i);
-            b = b.send_at(at, ProcessId(0), format!("amoeba-{i}"));
-            b2 = b2.send_at(at, ProcessId(0), format!("amoeba-{i}"));
-        }
-        let (mut sw, mut sb) = (b.build(), b2.build());
-        sw.run_until(SimTime::from_secs(2));
-        sb.run_until(SimTime::from_secs(2));
-        let with = release_boundary(&sw.app_trace());
-        let base = release_boundary(&sb.app_trace());
+        let sends = || {
+            (0..12u64)
+                .map(|i| {
+                    let at = SimTime::from_micros(100 + 200 * i);
+                    (at, ProcessId(0), Bytes::from(format!("amoeba-{i}")))
+                })
+                .collect()
+        };
+        let horizon = SimTime::from_secs(2);
+        let with = run_trace(3, 17, jittery(800, 3), sends(), horizon, |_| {
+            vec![Box::new(ps_protocols::AmoebaLayer::new())]
+        });
+        let base = run_trace(3, 17, jittery(800, 3), sends(), horizon, |_| vec![]);
+        let (with, base) = (release_boundary(&with), release_boundary(&base));
         demos.push(Demo {
             property: Amoeba.name(),
             definition: Amoeba.description(),

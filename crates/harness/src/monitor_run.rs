@@ -10,9 +10,9 @@
 //!   series and schedules sequencer↔token switches when measured load
 //!   crosses its watermarks — the paper's §7 crossover policy driven by
 //!   *measured* load instead of a scripted plan;
-//! * a [`MonitorSet`] streams every recorded event through the online
-//!   property monitors (total order, per-sender FIFO, delivery
-//!   accounting, switch liveness), so the run proves its own properties
+//! * a [`MonitorSet`](ps_obs::MonitorSet) streams every recorded event
+//!   through the online property monitors (total order, per-sender FIFO,
+//!   delivery accounting, switch liveness), so the run proves its own properties
 //!   held *while they were being exercised by the switch*.
 //!
 //! The scenario ramps: a single quiet sender, then a burst of fast
@@ -32,19 +32,16 @@
 //! context.
 
 use crate::report::Table;
+use crate::scenario::{self, oracle_at_p0, Scenario, SimNet};
 use ps_bytes::Bytes;
-use ps_core::{
-    LoadOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle, SwitchLayer, SwitchVariant,
-};
-use ps_obs::{LoadSample, MetricsSampler, MonitorSet, Recorder, Violation};
+use ps_core::{LoadOracle, SwitchConfig, SwitchHandle, SwitchLayer, SwitchVariant};
+use ps_obs::{LoadSample, MetricsSampler, Violation};
 use ps_protocols::{SeqOrderLayer, TokenOrderLayer};
 use ps_simnet::{EthernetConfig, SharedBus, SimTime, Topology};
-use ps_stack::{GroupSimBuilder, Layer, LayerCtx, Stack};
+use ps_stack::{IdGen, Layer, LayerCtx, Stack};
 use ps_trace::{Message, ProcessId};
 use ps_wire::Wire;
 use ps_workload::{Profile, TrafficSpec};
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Node that gets the broken ordering layer when
@@ -238,25 +235,40 @@ pub struct MonitorRunResult {
 
 /// Runs the monitored crossover scenario.
 pub fn run(cfg: &MonitorRunConfig) -> MonitorRunResult {
-    // Harness-phase spans (free no-ops when profiling is off): the
-    // engine attributes its own components, these cover what happens
-    // around it — workload generation + sim construction, the run loop
-    // between engine spans, and result assembly (ring snapshot).
-    let prof = cfg.prof.clone();
-    let _setup = prof.span(&["harness", "setup"]);
-    let recorder = Recorder::with_capacity(cfg.ring_capacity);
     let sampler = MetricsSampler::new(cfg.sample_interval.as_micros()).with_seq_node(0);
-    let monitors = MonitorSet::standard(u32::from(cfg.group), cfg.liveness_bound.as_micros());
-    monitors.attach(&recorder);
-
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
     let oracle_sampler = sampler.clone();
     let (high, low) = (cfg.high_permille, cfg.low_permille);
     let (min_samples, cooldown) = (cfg.min_samples, cfg.cooldown);
     let (idle_hold, inject_fault) = (cfg.token_idle_hold, cfg.inject_fault);
+    let factory = move |p: ProcessId, ids: &mut IdGen| {
+        let oracle = oracle_at_p0(p, || {
+            Box::new(
+                LoadOracle::new(oracle_sampler.clone(), high, low)
+                    .with_min_samples(min_samples)
+                    .with_cooldown(cooldown),
+            )
+        });
+        // A slow idle rotation keeps the switch's own control ring
+        // from dominating the sampled load — the oracle should see
+        // the application traffic, not the instrumentation.
+        let sw_cfg = SwitchConfig {
+            variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(10) },
+            observe_interval: SimTime::from_millis(50),
+            ..SwitchConfig::default()
+        };
+        let seq = Stack::with_ids(vec![Box::new(SeqOrderLayer::new(ProcessId(0)))], ids);
+        let token =
+            Stack::with_ids(vec![Box::new(TokenOrderLayer::with_idle_hold(idle_hold))], ids);
+        let (layer, handle) = SwitchLayer::new(sw_cfg, seq, token, oracle);
+        let mut layers: Vec<Box<dyn Layer>> = Vec::new();
+        if inject_fault && p == ProcessId(FAULT_NODE) {
+            layers.push(Box::new(SwapFaultLayer::new()));
+        }
+        layers.push(Box::new(layer));
+        (Stack::with_ids(layers, ids), Some(handle))
+    };
 
-    let spec = TrafficSpec {
+    let traffic = TrafficSpec {
         profile: Profile::FlashCrowd {
             burst_senders: cfg.burst_senders,
             burst_rate: cfg.burst_rate,
@@ -272,70 +284,31 @@ pub fn run(cfg: &MonitorRunConfig) -> MonitorRunResult {
         end: cfg.end,
         seed: cfg.seed,
     };
-
-    let topo = (cfg.segments > 1).then(|| {
-        Arc::new(Topology::uniform(u32::from(cfg.group), cfg.segments, cfg.bridge_latency))
-    });
-    let mut b = GroupSimBuilder::new(cfg.group).seed(cfg.seed ^ 0x7a11);
-    if let Some(t) = &topo {
-        // Installs the segmented default medium alongside the topology.
-        b = b.topology(Arc::clone(t));
+    // Above one segment the group spreads over a bridged topology, whose
+    // default medium is the segmented bus.
+    let medium = if cfg.segments > 1 {
+        let topo = Topology::uniform(u32::from(cfg.group), cfg.segments, cfg.bridge_latency);
+        SimNet { topology: Some(Arc::new(topo)), ..SimNet::default() }
     } else {
-        b = b.medium(Box::new(SharedBus::new(EthernetConfig::default())));
-    }
-    let b = b
-        .recorder(recorder.clone())
-        .sampler(sampler.clone())
-        .prof(cfg.prof.clone())
-        .stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                Box::new(
-                    LoadOracle::new(oracle_sampler.clone(), high, low)
-                        .with_min_samples(min_samples)
-                        .with_cooldown(cooldown),
-                )
-            } else {
-                Box::new(NeverOracle)
-            };
-            // A slow idle rotation keeps the switch's own control ring
-            // from dominating the sampled load — the oracle should see
-            // the application traffic, not the instrumentation.
-            let sw_cfg = SwitchConfig {
-                variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(10) },
-                observe_interval: SimTime::from_millis(50),
-                ..SwitchConfig::default()
-            };
-            let seq = Stack::with_ids(vec![Box::new(SeqOrderLayer::new(ProcessId(0)))], ids);
-            let token =
-                Stack::with_ids(vec![Box::new(TokenOrderLayer::with_idle_hold(idle_hold))], ids);
-            let (layer, handle) = SwitchLayer::new(sw_cfg, seq, token, oracle);
-            h2.borrow_mut().push(handle);
-            let mut layers: Vec<Box<dyn Layer>> = Vec::new();
-            if inject_fault && p == ProcessId(FAULT_NODE) {
-                layers.push(Box::new(SwapFaultLayer::new()));
-            }
-            layers.push(Box::new(layer));
-            Stack::with_ids(layers, ids)
-        })
-        .sends(spec.generate().into_sends());
-
-    let mut sim = b.build();
-    drop(_setup);
-    {
-        let _run = prof.span(&["harness", "run"]);
-        sim.run_until(cfg.end + SimTime::from_millis(800));
-    }
-    let _finish = prof.span(&["harness", "finish"]);
-
-    let handles = handles.borrow().clone();
+        SimNet::over(Box::new(SharedBus::new(EthernetConfig::default())))
+    };
+    let horizon = cfg.end + SimTime::from_millis(800);
+    let out = scenario::run(Scenario {
+        sends: traffic.generate().into_sends().collect(),
+        ring_capacity: cfg.ring_capacity,
+        liveness_bound: cfg.liveness_bound,
+        sampler: Some(sampler.clone()),
+        prof: cfg.prof.clone(),
+        ..Scenario::new(cfg.group, cfg.seed ^ 0x7a11, horizon, medium, factory)
+    });
     MonitorRunResult {
-        violations: monitors.finish(),
-        samples: sampler.samples(),
-        sampler: sampler.clone(),
-        handles,
-        overwritten: sim.recorder().overwritten(),
-        sent: monitors.delivery().sent_count(),
-        events: sim.recorder().snapshot(),
+        events: out.events(),
+        overwritten: out.overwritten(),
+        violations: out.violations,
+        samples: out.samples,
+        sampler,
+        handles: out.handles,
+        sent: out.sent,
     }
 }
 

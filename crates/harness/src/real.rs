@@ -1,12 +1,12 @@
 //! `repro real` — the same seeded scenario on simnet and on a real wire.
 //!
 //! The transport split (`ps_stack::Driver` / `ps_stack::GroupSpec`) makes
-//! this a controlled experiment: **one** scenario description — group
-//! size, seeded `ps-workload` schedule, the hybrid total-order stack with
-//! a scripted mid-run switch — handed to two drivers. The simulated run
-//! goes through `GroupSimBuilder::from_spec`; the real run goes through
-//! `ps_net::UdpGroup` on UDP loopback, one OS thread and one socket per
-//! process. No `Layer` sees which one it is on.
+//! this a controlled experiment: **one** [`Scenario`] — group size, seeded
+//! `ps-workload` schedule, the hybrid total-order stack with a scripted
+//! mid-run switch — run by the one [`scenario::run`] on two media. The
+//! simulated run uses [`SimNet`]; the real run uses [`NetConfig`], which
+//! launches a `ps_net::UdpGroup` on UDP loopback, one OS thread and one
+//! socket per process. No `Layer` sees which one it is on.
 //!
 //! `--compare` runs both and diffs them along the axes the media *should*
 //! agree on:
@@ -28,14 +28,14 @@
 
 use crate::measure::{latency_stats, LatencyStats, SteadyStateWindow};
 use crate::report::Table;
-use ps_core::{hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle};
-use ps_net::{NetConfig, UdpGroup};
-use ps_obs::{MetricsSampler, MonitorSet, Recorder, TimedEvent, Violation, ViolationKind};
+use crate::scenario::{self, oracle_at_p0, Scenario, SimNet, Transport};
+use ps_core::{hybrid_total_order, ManualOracle, SwitchConfig};
+use ps_net::NetConfig;
+use ps_obs::{MetricsSampler, TimedEvent, Violation, ViolationKind};
 use ps_simnet::SimTime;
-use ps_stack::{Driver, GroupSimBuilder, GroupSpec};
+use ps_stack::{Driver, IdGen};
 use ps_trace::ProcessId;
 use ps_workload::{Profile, TrafficSpec};
-use std::sync::{Arc, Mutex};
 
 /// Configuration shared by both media.
 #[derive(Debug, Clone)]
@@ -158,97 +158,61 @@ fn workload(cfg: &RealRunConfig) -> TrafficSpec {
     }
 }
 
-/// Builds the scenario spec: same stacks, same schedule, same seed —
-/// the medium is the only thing the caller chooses afterwards.
-fn build_spec(
+/// Runs the scenario — same stacks, same schedule, same seed on every
+/// medium — on `medium` and reads it out into the common report shape,
+/// handing back the finished driver for the caller to stop.
+fn run_on<T: Transport>(
+    name: &'static str,
     cfg: &RealRunConfig,
-    recorder: Recorder,
-    sampler: MetricsSampler,
-) -> (GroupSpec, Arc<Mutex<Vec<SwitchHandle>>>) {
-    let handles: Arc<Mutex<Vec<SwitchHandle>>> = Arc::new(Mutex::new(Vec::new()));
-    let handles_in = Arc::clone(&handles);
+    medium: T,
+) -> (MediumReport, T::Driver) {
     let switch_at = cfg.switch_at;
-    let spec = GroupSpec::new(cfg.group)
-        .seed(cfg.seed)
-        .recorder(recorder)
-        .sampler(sampler)
-        .stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                Box::new(ManualOracle::new(vec![(switch_at, 1)]))
-            } else {
-                Box::new(NeverOracle)
-            };
-            let (stack, handle) =
-                hybrid_total_order(ids, SwitchConfig::default(), ProcessId(0), oracle);
-            handles_in.lock().unwrap().push(handle);
-            stack
-        })
-        .sends(workload(cfg).generate().into_sends());
-    (spec, handles)
-}
+    let factory = move |p: ProcessId, ids: &mut IdGen| {
+        let oracle = oracle_at_p0(p, || Box::new(ManualOracle::new(vec![(switch_at, 1)])));
+        let (stack, handle) =
+            hybrid_total_order(ids, SwitchConfig::default(), ProcessId(0), oracle);
+        (stack, Some(handle))
+    };
+    let sends: Vec<_> = workload(cfg).generate().into_sends().collect();
+    let sent = sends.len();
+    let started = std::time::Instant::now();
+    let out = scenario::run(Scenario {
+        sends,
+        ring_capacity: cfg.ring_capacity,
+        liveness_bound: cfg.liveness_bound,
+        sampler: Some(MetricsSampler::new(cfg.sample_interval.as_micros())),
+        ..Scenario::new(cfg.group, cfg.seed, cfg.horizon(), medium, factory)
+    });
+    let wall_ms = started.elapsed().as_millis() as u64;
 
-/// Reads a finished driver out into the common report shape.
-fn read_out(
-    medium: &'static str,
-    driver: &dyn Driver,
-    monitors: &MonitorSet,
-    handles: &[SwitchHandle],
-    sent: usize,
-    wall_ms: u64,
-) -> MediumReport {
-    let latency = latency_stats(driver, SteadyStateWindow::all());
-    MediumReport {
-        medium,
+    let latency = latency_stats(&out.driver, SteadyStateWindow::all());
+    let report = MediumReport {
+        medium: name,
         sent,
-        deliveries: driver.deliveries().len(),
+        deliveries: out.driver.deliveries().len(),
         incomplete: latency.incomplete,
-        violations: monitors.finish(),
-        switches_min: handles.iter().map(|h| h.switches_completed()).min().unwrap_or(0),
-        aborts: handles.iter().map(|h| h.snapshot().aborted).sum(),
+        switches_min: out.handles.iter().map(|h| h.switches_completed()).min().unwrap_or(0),
+        aborts: out.handles.iter().map(|h| h.snapshot().aborted).sum(),
         latency,
-        events: driver.recorder().snapshot(),
-        overwritten: driver.recorder().overwritten(),
+        events: out.events(),
+        overwritten: out.overwritten(),
+        violations: out.violations,
         wall_ms,
-    }
+    };
+    (report, out.driver)
 }
 
 /// Runs the scenario on the simulated medium (the builder's default
 /// point-to-point network — a clean 100 µs wire, the closest simulated
 /// analogue of an idle loopback).
 pub fn run_sim(cfg: &RealRunConfig) -> MediumReport {
-    let recorder = Recorder::with_capacity(cfg.ring_capacity);
-    let sampler = MetricsSampler::new(cfg.sample_interval.as_micros());
-    let monitors = MonitorSet::standard(u32::from(cfg.group), cfg.liveness_bound.as_micros());
-    monitors.attach(&recorder);
-    let (spec, handles) = build_spec(cfg, recorder, sampler);
-    let sent = spec.sends.len();
-
-    let started = std::time::Instant::now();
-    let mut sim = GroupSimBuilder::from_spec(spec).build();
-    sim.run_until(cfg.horizon());
-    let wall_ms = started.elapsed().as_millis() as u64;
-
-    let handles = handles.lock().unwrap().clone();
-    read_out("simnet", &sim, &monitors, &handles, sent, wall_ms)
+    run_on("simnet", cfg, SimNet::default()).0
 }
 
 /// Runs the *same* scenario over UDP loopback: real sockets, real OS
 /// threads, wall-clock time.
 pub fn run_real(cfg: &RealRunConfig) -> MediumReport {
-    let recorder = Recorder::with_capacity(cfg.ring_capacity);
-    let sampler = MetricsSampler::new(cfg.sample_interval.as_micros());
-    let monitors = MonitorSet::standard(u32::from(cfg.group), cfg.liveness_bound.as_micros());
-    monitors.attach(&recorder);
-    let (spec, handles) = build_spec(cfg, recorder, sampler);
-    let sent = spec.sends.len();
-
-    let started = std::time::Instant::now();
-    let mut group = UdpGroup::launch(spec, NetConfig::default());
-    group.run_until(cfg.horizon());
-    let wall_ms = started.elapsed().as_millis() as u64;
-
-    let handles = handles.lock().unwrap().clone();
-    let report = read_out("udp-loopback", &group, &monitors, &handles, sent, wall_ms);
+    let (report, group) = run_on("udp-loopback", cfg, NetConfig::default());
     group.shutdown();
     report
 }

@@ -14,17 +14,13 @@
 //! export byte-identical files, serial or under the parallel sweep runner.
 
 use crate::report::Table;
-use crate::workload::{periodic_senders, WorkloadSpec};
-use ps_core::{
-    hybrid_total_order, ManualOracle, NeverOracle, Oracle, SwitchConfig, SwitchHandle,
-    SwitchVariant,
-};
-use ps_obs::{export, Recorder, SwitchInterval, TimedEvent};
+use crate::scenario::{self, oracle_at_p0, Scenario, SimNet};
+use ps_core::{hybrid_total_order, ManualOracle, SwitchConfig, SwitchHandle, SwitchVariant};
+use ps_obs::{export, SwitchInterval, TimedEvent};
 use ps_simnet::{EthernetConfig, SharedBus, SimTime};
-use ps_stack::GroupSimBuilder;
+use ps_stack::IdGen;
 use ps_trace::ProcessId;
-use std::cell::RefCell;
-use std::rc::Rc;
+use ps_workload::TrafficSpec;
 
 /// Output format for the exported trace file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -118,46 +114,37 @@ pub struct TraceRunResult {
 
 /// Runs the instrumented switch scenario.
 pub fn run(cfg: &TraceRunConfig) -> TraceRunResult {
-    let recorder = Recorder::with_capacity(cfg.ring_capacity);
-    let handles: Rc<RefCell<Vec<SwitchHandle>>> = Rc::new(RefCell::new(Vec::new()));
-    let h2 = handles.clone();
     let plan = vec![(cfg.switch_at, 1), (cfg.switch_back_at, 0)];
-    let spec = WorkloadSpec {
-        rate_per_sender: cfg.rate,
+    let factory = move |p: ProcessId, ids: &mut IdGen| {
+        let oracle = oracle_at_p0(p, || Box::new(ManualOracle::new(plan.clone())));
+        let sw_cfg = SwitchConfig {
+            variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
+            observe_interval: SimTime::from_millis(20),
+            ..SwitchConfig::default()
+        };
+        let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
+        (stack, Some(handle))
+    };
+    let traffic = TrafficSpec {
+        group: cfg.group,
+        senders: cfg.senders,
+        rate: cfg.rate,
         body_bytes: cfg.body_bytes,
-        start: SimTime::from_millis(100),
         end: cfg.end,
         seed: cfg.seed,
-        ..WorkloadSpec::for_group(cfg.group, cfg.senders)
+        ..TrafficSpec::default()
     };
-    let mut b = GroupSimBuilder::new(cfg.group)
-        .seed(cfg.seed ^ 0x7ace)
-        .medium(Box::new(SharedBus::new(EthernetConfig::default())))
-        .recorder(recorder.clone())
-        .stack_factory(move |p, _, ids| {
-            let oracle: Box<dyn Oracle> = if p == ProcessId(0) {
-                Box::new(ManualOracle::new(plan.clone()))
-            } else {
-                Box::new(NeverOracle)
-            };
-            let sw_cfg = SwitchConfig {
-                variant: SwitchVariant::TokenRing { idle_hold: SimTime::from_millis(2) },
-                observe_interval: SimTime::from_millis(20),
-                ..SwitchConfig::default()
-            };
-            let (stack, handle) = hybrid_total_order(ids, sw_cfg, ProcessId(0), oracle);
-            h2.borrow_mut().push(handle);
-            stack
-        });
-    b = b.sends(periodic_senders(&spec));
-    let mut sim = b.build();
-    sim.run_until(cfg.end + SimTime::from_secs(1));
+    let medium = SimNet::over(Box::new(SharedBus::new(EthernetConfig::default())));
+    let horizon = cfg.end + SimTime::from_secs(1);
+    let out = scenario::run(Scenario {
+        sends: traffic.generate().into_sends().collect(),
+        ring_capacity: cfg.ring_capacity,
+        ..Scenario::new(cfg.group, cfg.seed ^ 0x7ace, horizon, medium, factory)
+    });
 
-    let events = sim.recorder().snapshot();
-    let overwritten = sim.recorder().overwritten();
+    let events = out.events();
     let timeline = ps_obs::switch_timeline(&events);
-    let handles = handles.borrow().clone();
-    TraceRunResult { events, overwritten, timeline, handles }
+    TraceRunResult { overwritten: out.overwritten(), events, timeline, handles: out.handles }
 }
 
 /// Exports the recorded events in the requested format. Both formats

@@ -1,13 +1,13 @@
 //! The UDP-loopback group runtime: one OS thread + one socket per process.
 //!
-//! Structure mirrors `ps_rt`'s in-memory runtime — staged environment
-//! effects, a due-heap for timers and scheduled workload, wall-clock time
-//! mapped onto [`SimTime`] microseconds from a shared epoch — but frames
-//! leave the process as real datagrams (`dgram` module) and arrive
-//! through `recv_from`, and the run records into `ps-obs` exactly like a
-//! simulated run: `AppSend`/`AppDeliver`/`FrameSend`/`FrameDeliver`/
-//! `TimerFire` events with wall-clock `at_us`, monitors and the
-//! `MetricsSampler` fed identically.
+//! Each node thread stages its environment effects, keeps a due-heap for
+//! timers and scheduled workload, and maps wall-clock time onto
+//! [`SimTime`] microseconds from a shared epoch. Frames leave the process
+//! as real datagrams (`dgram` module) and arrive through `recv_from`, and
+//! the run records into `ps-obs` exactly like a simulated run:
+//! `AppSend`/`AppDeliver`/`FrameSend`/`FrameDeliver`/`TimerFire` events
+//! with wall-clock `at_us`, monitors and the `MetricsSampler` fed
+//! identically.
 
 use crate::dgram;
 use ps_bytes::Bytes;

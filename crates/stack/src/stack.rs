@@ -32,7 +32,7 @@ pub trait StackEnv {
     fn set_timer(&mut self, delay: SimTime, id: LayerId, token: u32);
     /// The live event recorder, or `None` when observability is off.
     ///
-    /// The default keeps every existing environment (tests, `ps-rt`)
+    /// The default keeps every other environment (tests, for example)
     /// observability-free; the simulator runtime forwards the recorder the
     /// sim was configured with, pre-folded with its enabled flag.
     fn obs(&self) -> Option<&Recorder> {
@@ -45,8 +45,8 @@ pub trait StackEnv {
         CauseId::NONE
     }
     /// Replaces the causal context, returning the previous one. The
-    /// default is a no-op so observability-free environments (tests,
-    /// `ps-rt`) pay nothing.
+    /// default is a no-op so observability-free environments (tests, for
+    /// example) pay nothing.
     fn set_cause(&mut self, cause: CauseId) -> CauseId {
         let _ = cause;
         CauseId::NONE

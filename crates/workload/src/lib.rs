@@ -17,9 +17,9 @@
 //!   linearly (within jitter tolerance), so one knob sweeps a profile
 //!   from smoke test to stress run.
 //!
-//! The steady shape is draw-for-draw the jittered-periodic generator the
-//! harness has used since PR 1, so schedules compose with (and reproduce)
-//! the existing experiments' traffic.
+//! The steady shape is the paper's Figure-2 workload — every active sender
+//! at a fixed, jittered-periodic rate — and is the traffic every harness
+//! experiment that does not name another profile runs under.
 //!
 //! # Examples
 //!

@@ -51,6 +51,17 @@ echo "==> bench_check: fresh medians vs committed baselines (informational)"
 cargo run --release -q --bin bench_check -- BENCH_engine.json target/BENCH_engine.json
 cargo run --release -q --bin bench_check -- BENCH_scale.json target/BENCH_scale.json
 
+echo "==> perfbench smoke: the repo benchmark builds and passes its checks on every workload (offline)"
+# perfbench/ is its own cargo workspace with path dependencies on the
+# crates, so nothing above builds it: a crate change could break the
+# benchmark's build, or its exactly-once / common-order / switch checks,
+# unnoticed. One short run per workload; perfbench exits non-zero when
+# any check fails.
+for workload in hybrid-steady ft-lossy udp-loopback; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
+
 echo "==> trace smoke: repro --trace emits valid, reproducible files (offline)"
 # The instrumented repro run must (a) produce traces that parse as JSON in
 # both formats, and (b) be byte-identical across same-seed invocations,
